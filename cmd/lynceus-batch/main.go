@@ -1,20 +1,18 @@
 // Command lynceus-batch runs N tuning campaigns concurrently over one shared
 // space-artifact group and reports batch throughput (campaigns/sec). Each
 // campaign's trial sequence and recommendation are bitwise identical to the
-// same campaign run alone through lynceus-tune; sharing changes throughput,
-// never results.
+// same campaign run alone through lynceus-tune.
 //
-// Campaigns either replicate one seed (-campaigns N -seed S, a multi-tenant
-// replica batch where nearly all planning work is shared) or sweep seeds
-// (-seed-step 1 gives seeds S, S+1, ...), which shares the space artifacts
-// and prices but plans each campaign separately.
+// Campaigns either sweep seeds (-seed-step 1 gives seeds S, S+1, ...) or
+// replicate one seed (-seed-step 0). Either way they share the space
+// artifacts, unit prices and planner workspace arenas, and each plans on
+// its own.
 //
 // Usage:
 //
 //	lynceus-datagen -dataset tensorflow -job cnn -out data/
-//	lynceus-batch -dataset data/cnn.csv -campaigns 8
+//	lynceus-batch -dataset data/cnn.csv -campaigns 8 -seed-step 1
 //	lynceus-batch -dataset data/cnn.csv -campaigns 8 -seed-step 1 -v
-//	lynceus-batch -dataset data/cnn.csv -campaigns 8 -no-share   (baseline)
 package main
 
 import (
@@ -45,8 +43,7 @@ func run() error {
 		feasibleFraction = flag.Float64("feasible-fraction", 0.5, "fraction of configurations that must satisfy the derived runtime constraint")
 		lookahead        = flag.Int("lookahead", 2, "Lynceus lookahead window")
 		seed             = flag.Int64("seed", 1, "seed of the first campaign")
-		seedStep         = flag.Int64("seed-step", 0, "seed increment between campaigns (0 = replica batch, all campaigns share one seed)")
-		noShare          = flag.Bool("no-share", false, "run share-nothing (the throughput baseline; results are identical)")
+		seedStep         = flag.Int64("seed-step", 0, "seed increment between campaigns (0 = all campaigns share one seed)")
 		verbose          = flag.Bool("v", false, "print every campaign's recommendation, not only the summary")
 	)
 	flag.Parse()
@@ -88,10 +85,7 @@ func run() error {
 		return err
 	}
 	cfg := lynceus.TunerConfig{Lookahead: *lookahead, SpeculativeRefit: "incremental"}
-	runner := lynceus.NewMultiRunner(lynceus.MultiRunnerConfig{
-		Concurrency:    *concurrency,
-		DisableSharing: *noShare,
-	})
+	runner := lynceus.NewMultiRunner(lynceus.MultiRunnerConfig{Concurrency: *concurrency})
 	for i := 0; i < *campaigns; i++ {
 		opts := lynceus.Options{
 			Budget:            totalBudget,
@@ -103,12 +97,8 @@ func run() error {
 		}
 	}
 
-	mode := "shared"
-	if *noShare {
-		mode = "share-nothing"
-	}
-	fmt.Printf("job=%s configs=%d campaigns=%d budget=%.4f$ tmax=%.1fs mode=%s\n",
-		job.Name(), job.Size(), *campaigns, totalBudget, maxRuntime, mode)
+	fmt.Printf("job=%s configs=%d campaigns=%d budget=%.4f$ tmax=%.1fs\n",
+		job.Name(), job.Size(), *campaigns, totalBudget, maxRuntime)
 
 	summary, err := runner.Run()
 	if err != nil {

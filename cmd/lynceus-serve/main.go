@@ -77,7 +77,7 @@ func main() {
 	logger.Printf("serving %d resumed campaigns from %s on %s",
 		srv.Stats().ResumedOnStart, *stateDir, ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -106,5 +106,28 @@ func main() {
 		if !errors.Is(err, http.ErrServerClosed) {
 			logger.Fatal(err)
 		}
+	}
+}
+
+// Connection limits of the listener. Request bodies are small (the handler
+// caps them at 64 KiB), so reading a whole request never legitimately takes
+// long. There is deliberately no WriteTimeout: it bounds the whole handler,
+// and a step request legitimately runs up to the watchdog's step deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer wraps the API handler in an http.Server with bounded
+// request reads, idle connections and header size.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }

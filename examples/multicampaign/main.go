@@ -1,24 +1,24 @@
-// Multi-campaign example: run a batch of tuning campaigns concurrently over
-// one shared space-artifact group and compare against the same batch run
-// share-nothing.
+// Multi-campaign example: run a batch of tuning campaigns with distinct
+// seeds concurrently through one MultiRunner and check every campaign
+// against the same campaign run alone.
 //
 // Multi-tenant tuning services face this shape of load: many tenants tune
-// jobs over the same configuration space, often with identical tuner settings
-// (replicated SLO probes, per-team campaigns on a shared catalog). The shared
-// tier interns the space artifacts (feature matrix, decoded rows, prices)
-// once per space, reuses fitted models and planning decisions across
-// campaigns whose observed history is bit-identical, and pools the planner's
-// path workspaces — while every campaign's trial sequence and recommendation
-// stay bitwise identical to the same campaign run alone. The example proves
-// that equivalence directly, then reports the throughput of both modes.
+// jobs over the same configuration space at the same time. The runner steps
+// the campaigns fairly (one trial per turn) over one share group, which
+// interns the space artifacts (feature matrix, decoded rows, prices) once per
+// space and pools the planner's path workspaces. Each campaign still plans
+// on its own, so its trial sequence and recommendation stay bitwise
+// identical to the same campaign run alone. The example proves that
+// equivalence directly, then reports the batch throughput.
 //
 //	go run ./examples/multicampaign
-//	go run ./examples/multicampaign -campaigns 16 -spread
+//	go run ./examples/multicampaign -campaigns 4 -seed 10
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -35,8 +35,7 @@ func main() {
 func run() error {
 	var (
 		campaigns = flag.Int("campaigns", 8, "campaigns in the batch")
-		spread    = flag.Bool("spread", false, "give each campaign its own seed instead of replicating one (shares artifacts and prices, not decisions)")
-		seed      = flag.Int64("seed", 1, "seed of the first campaign")
+		seed      = flag.Int64("seed", 1, "seed of the first campaign; campaign i uses seed+i")
 	)
 	flag.Parse()
 
@@ -54,63 +53,54 @@ func run() error {
 	}
 	cfg := lynceus.TunerConfig{Lookahead: 2, SpeculativeRefit: "incremental"}
 	optsFor := func(i int) lynceus.Options {
-		s := *seed
-		if *spread {
-			s += int64(i)
-		}
 		return lynceus.Options{
 			Budget:            16 * job.MeanCost(),
 			MaxRuntimeSeconds: tmax,
-			Seed:              s,
+			Seed:              *seed + int64(i),
 		}
 	}
 
-	fmt.Printf("batch of %d LA=2 campaigns on %s (%d configurations), spread=%v\n\n",
-		*campaigns, job.Name(), job.Size(), *spread)
+	fmt.Printf("batch of %d LA=2 campaigns on %s (%d configurations), seeds %d..%d\n\n",
+		*campaigns, job.Name(), job.Size(), *seed, *seed+int64(*campaigns-1))
 
-	// Run the batch twice: through the sharing tier, then share-nothing. The
-	// share-nothing pass is the baseline the throughput benchmark gates
-	// against — it uses the same runner and scheduling, only without the
-	// shared artifact group.
-	var shared, isolated lynceus.MultiSummary
-	for _, mode := range []struct {
-		name    string
-		disable bool
-		out     *lynceus.MultiSummary
-	}{
-		{"shared", false, &shared},
-		{"share-nothing", true, &isolated},
-	} {
-		runner := lynceus.NewMultiRunner(lynceus.MultiRunnerConfig{DisableSharing: mode.disable})
-		for i := 0; i < *campaigns; i++ {
-			if err := runner.Add(fmt.Sprintf("campaign-%d", i), cfg, env, optsFor(i)); err != nil {
-				return err
-			}
+	runner := lynceus.NewMultiRunner(lynceus.MultiRunnerConfig{})
+	for i := 0; i < *campaigns; i++ {
+		if err := runner.Add(fmt.Sprintf("campaign-%d", i), cfg, env, optsFor(i)); err != nil {
+			return err
 		}
-		summary, err := runner.Run()
+	}
+	batch, err := runner.Run()
+	if err != nil {
+		return err
+	}
+	for _, r := range batch.Results {
+		if r.Err != nil {
+			return fmt.Errorf("batch %s: %w", r.Name, r.Err)
+		}
+	}
+	fmt.Printf("  batch     %8s  %6.2f campaigns/sec\n",
+		batch.Elapsed.Round(time.Millisecond), batch.CampaignsPerSec)
+
+	// Running in a batch must never change results: pin every campaign to
+	// the same campaign run alone with StartTuner, trial by trial.
+	start := time.Now()
+	for i, r := range batch.Results {
+		tuner, err := lynceus.StartTuner(cfg, env, optsFor(i))
 		if err != nil {
 			return err
 		}
-		for _, r := range summary.Results {
-			if r.Err != nil {
-				return fmt.Errorf("%s %s: %w", mode.name, r.Name, r.Err)
-			}
+		alone, err := tuner.Run()
+		if err != nil {
+			return fmt.Errorf("isolated %s: %w", r.Name, err)
 		}
-		*mode.out = summary
-		fmt.Printf("  %-13s %8s  %6.2f campaigns/sec\n",
-			mode.name, summary.Elapsed.Round(time.Millisecond), summary.CampaignsPerSec)
+		if err := sameRun(r.Result, alone); err != nil {
+			return fmt.Errorf("campaign %s diverged from its isolated run: %w", r.Name, err)
+		}
 	}
+	fmt.Printf("  isolated  %8s  (one campaign at a time)\n\n", time.Since(start).Round(time.Millisecond))
 
-	// Sharing must never change results: pin every campaign of the shared
-	// batch to its share-nothing twin, trial by trial.
-	for i, r := range shared.Results {
-		if err := sameRun(r.Result, isolated.Results[i].Result); err != nil {
-			return fmt.Errorf("campaign %s diverged between modes: %w", r.Name, err)
-		}
-	}
-	speedup := isolated.Elapsed.Seconds() / shared.Elapsed.Seconds()
-	fmt.Printf("\n  %.1fx throughput, bitwise-identical recommendations in both modes\n", speedup)
-	for _, r := range shared.Results[:min(3, len(shared.Results))] {
+	fmt.Println("  every campaign bitwise identical to its isolated run")
+	for _, r := range batch.Results[:min(3, len(batch.Results))] {
 		fmt.Printf("  %-12s -> %s ($%.4f, %d explorations)\n",
 			r.Name, job.Space().Describe(r.Result.Recommended.Config),
 			r.Result.Recommended.Cost, r.Result.Explorations)
@@ -119,15 +109,16 @@ func run() error {
 }
 
 // sameRun verifies two results profiled the same configurations in the same
-// order and agree on the recommendation.
+// order at bit-identical costs and agree on the recommendation.
 func sameRun(a, b lynceus.Result) error {
 	if len(a.Trials) != len(b.Trials) {
 		return fmt.Errorf("trial counts differ: %d vs %d", len(a.Trials), len(b.Trials))
 	}
 	for i := range a.Trials {
-		if a.Trials[i].Config.ID != b.Trials[i].Config.ID {
-			return fmt.Errorf("trial %d differs: config %d vs %d",
-				i, a.Trials[i].Config.ID, b.Trials[i].Config.ID)
+		ta, tb := a.Trials[i], b.Trials[i]
+		if ta.Config.ID != tb.Config.ID || math.Float64bits(ta.Cost) != math.Float64bits(tb.Cost) {
+			return fmt.Errorf("trial %d differs: config %d cost %v vs config %d cost %v",
+				i, ta.Config.ID, ta.Cost, tb.Config.ID, tb.Cost)
 		}
 	}
 	if a.Recommended.Config.ID != b.Recommended.Config.ID {

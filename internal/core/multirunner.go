@@ -14,12 +14,10 @@ import (
 
 // MultiRunner drives N campaigns concurrently over one ShareGroup: a bounded
 // worker pool steps campaigns round-robin (one Step per turn, then back of
-// the queue), so no campaign starves and replica campaigns stay roughly in
-// lockstep — the regime where the group's single-flight decision cache turns
-// N plans into one. Each campaign itself remains single-threaded (Campaigns
-// are not safe for concurrent use; the runner never steps one from two
-// goroutines), and each produces the bitwise-identical trial sequence it
-// would produce run alone.
+// the queue), so no campaign starves behind a long one. Each campaign itself
+// remains single-threaded (Campaigns are not safe for concurrent use; the
+// runner never steps one from two goroutines), and each produces the
+// bitwise-identical trial sequence it would produce run alone.
 type MultiRunner struct {
 	group       *ShareGroup
 	concurrency int

@@ -11,7 +11,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/numeric"
 	"repro/internal/optimizer"
-	"repro/internal/share"
 )
 
 // planner implements the configuration-selection logic of Algorithms 1 and 2:
@@ -62,15 +61,6 @@ type planner struct {
 	// tests pin bitwise — and only the shallow layers are worth the task
 	// overhead: deeper subtrees shrink geometrically.
 	forkDepth int
-
-	// shared is the campaign's share-group binding (nil outside a group).
-	// When set, prices comes from the group's per-environment cache, the
-	// scheduler draws arenas from the group pool (incremental mode), and —
-	// for key-capturable configurations, see sharable — nextConfig adopts
-	// and publishes fitted root models and whole decisions through the
-	// group caches. keyBuf is the reusable cache-key assembly buffer.
-	shared *sharedCtx
-	keyBuf []byte
 
 	// stepCtx is the context of the in-flight nextConfig call (set at entry,
 	// cleared at exit; context.Background() when the caller supplied none).
@@ -138,14 +128,13 @@ func newPlannerShared(params Params, env optimizer.Environment, opts optimizer.O
 		refitMode: mode,
 		prices:    optimizer.NewPriceCache(env),
 		sched:     newSpecScheduler(params.Workers),
-		shared:    sh,
 	}
 	if sh != nil {
 		p.prices = sh.prices
 	}
 	if mode == SpecRefitIncremental {
 		if sh != nil {
-			p.sched.pool = sh.group.arenas
+			p.sched.pool = sh.arenas
 			p.sched.shape = p.arenaShape()
 		}
 		if z, err := numeric.NormalQuantile(params.EligibilityProb); err == nil {
@@ -221,26 +210,6 @@ func (p *planner) gatherCols(cands []candidate) [][]float64 {
 		p.colsBuf = make([]float64, d*n)
 	}
 	buf := p.colsBuf[:d*n]
-	cols := make([][]float64, d)
-	for k := range cols {
-		cols[k] = buf[k*n : (k+1)*n]
-	}
-	for i, c := range cands {
-		for k := 0; k < d; k++ {
-			cols[k][i] = c.features[k]
-		}
-	}
-	return cols
-}
-
-// gatherColsOwned is gatherCols with freshly allocated backing: used when the
-// resulting matrix may be published to the share group's model cache, where
-// later decisions of this planner must not overwrite it through the reused
-// colsBuf (a published model set's prediction memos alias these columns).
-func (p *planner) gatherColsOwned(cands []candidate) [][]float64 {
-	d := p.space.NumDimensions()
-	n := len(cands)
-	buf := make([]float64, d*n)
 	cols := make([][]float64, d)
 	for k := range cols {
 		cols[k] = buf[k*n : (k+1)*n]
@@ -899,15 +868,27 @@ func extraMemosOf(ms *modelSet) [][]numeric.Gaussian {
 		if em == nil {
 			return nil
 		}
-		// Skip the write when the memo array has not moved: a published
-		// model set's extraMemos are prewarmed by its publisher, and every
-		// later (possibly concurrent) caller re-derives the identical view —
-		// writing it back would be a data race between adopters.
+		// Skip the write when the memo array has not moved: the root model
+		// set's extraMemos are prewarmed by the root eligibility sweep, and
+		// every later (possibly concurrent) path worker re-derives the
+		// identical view — writing it back would be a data race between
+		// workers.
 		if !sameGaussians(ms.extraMemos[k], em) {
 			ms.extraMemos[k] = em
 		}
 	}
 	return ms.extraMemos
+}
+
+// sameGaussians reports whether two Gaussian slices are the same array view
+// (identical backing and length) — the cheap identity check that lets
+// extraMemosOf skip rewriting its scratch when the memo arrays have not
+// moved, keeping concurrent sweeps of one model set write-free.
+func sameGaussians(a, b []numeric.Gaussian) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	return len(a) == 0 || &a[0] == &b[0]
 }
 
 // nextStep selects the configuration explored at depth ≥ 2 of a path: the
@@ -1265,41 +1246,9 @@ func (p *planner) nextConfig(ctx context.Context, h *optimizer.History, remainin
 	if err != nil {
 		return configspace.Config{}, false, err
 	}
-	// Phase boundary: candidate selection done, model fit next. Checked
-	// before the sharing claim so a cancelled campaign never becomes a
-	// decision leader its replicas would block on.
+	// Phase boundary: candidate selection done, model fit next.
 	if err := cancelErr(ctx); err != nil {
 		return configspace.Config{}, false, err
-	}
-
-	// Cross-campaign sharing: when every planning input is captured by the
-	// cache keys (see sharable and shareKeys), an identical campaign's
-	// published decision is adopted outright, and concurrent identical
-	// campaigns single-flight the computation — one leader plans, the
-	// replicas block briefly and adopt. Equal keys imply bitwise-equal
-	// outcomes, so adoption preserves the isolated-run trial sequence.
-	var modelKey string
-	var claim *share.Claim[sharedDecision]
-	if p.sharable() {
-		var decisionKey string
-		modelKey, decisionKey = p.shareKeys(h, remainingBudget, extraNames, untested)
-		dec, cl := p.shared.group.decisions.GetOrClaim(decisionKey)
-		if cl == nil {
-			p.iteration++
-			if !dec.ok {
-				return configspace.Config{}, false, nil
-			}
-			best, err := p.space.Config(dec.id)
-			if err != nil {
-				return configspace.Config{}, false, err
-			}
-			return best, true, nil
-		}
-		claim = cl
-		// The leader publishes at every definitive exit below; on error
-		// paths the deferred Abandon (a no-op after Publish) wakes blocked
-		// followers to re-elect instead of deadlocking them.
-		defer claim.Abandon()
 	}
 
 	p.activeCfgs = p.activeCfgs[:0]
@@ -1316,55 +1265,26 @@ func (p *planner) nextConfig(ctx context.Context, h *optimizer.History, remainin
 		}
 	}
 
-	// An identical campaign may have published this decision's fitted,
-	// fully-prefilled root model set; adopting it (read-only, with the
-	// publisher's owned column matrix) skips the fit and prefill entirely.
-	var rootModels *modelSet
-	adoptedModels := false
-	if modelKey != "" {
-		if sm, ok := p.shared.group.models.Get(modelKey); ok {
-			rootModels = sm.ms
-			p.activeCols = sm.cols
-			adoptedModels = true
-		}
-	}
-	if !adoptedModels {
-		rootModels = p.newModelSet(int64(p.iteration)*2_000_000_011, len(untested))
-	}
+	rootModels := p.newModelSet(int64(p.iteration)*2_000_000_011, len(untested))
 	p.iteration++
-	if !adoptedModels {
-		// Fit, then populate the root prediction memo up front: every later
-		// root-model prediction (eligibility, incumbent fallback, per-path root
-		// EIc) becomes a read-only lookup, which keeps the shared root model set
-		// race-free during the parallel fan-out. The production path sweeps the
-		// candidate set in one batch per model; the scalar reference path
-		// predicts the candidates one by one on the worker pool.
-		if err := rootModels.fit(train); err != nil {
+	// Fit, then populate the root prediction memo up front: every later
+	// root-model prediction (eligibility, incumbent fallback, per-path root
+	// EIc) becomes a read-only lookup, which keeps the shared root model set
+	// race-free during the parallel fan-out. The production path sweeps the
+	// candidate set in one batch per model; the scalar reference path
+	// predicts the candidates one by one on the worker pool.
+	if err := rootModels.fit(train); err != nil {
+		return configspace.Config{}, false, err
+	}
+	if p.params.DisableBatchPredict || !rootModels.supportsBatch() {
+		p.activeCols = nil
+		if err := rootModels.prefillScalar(untested, p.params.Workers); err != nil {
 			return configspace.Config{}, false, err
 		}
-		if p.params.DisableBatchPredict || !rootModels.supportsBatch() {
-			p.activeCols = nil
-			if err := rootModels.prefillScalar(untested, p.params.Workers); err != nil {
-				return configspace.Config{}, false, err
-			}
-		} else {
-			if modelKey != "" {
-				// Freshly-backed columns: the published set's memos alias
-				// them, and the reusable colsBuf would be overwritten by
-				// this planner's next decision under the adopters.
-				p.activeCols = p.gatherColsOwned(untested)
-			} else {
-				p.activeCols = p.gatherCols(untested)
-			}
-			if err := rootModels.prefillBatch(p.activeCols); err != nil {
-				return configspace.Config{}, false, err
-			}
-		}
-		// Publish only a fully-memoized set (batch prefill: cost and extra
-		// memos all-valid, prewarmed here) — adopters then never write to
-		// it. Scalar-mode sets stay private.
-		if modelKey != "" && rootModels.cost.MemoPreds() != nil && extraMemosOf(rootModels) != nil {
-			p.shared.group.models.Put(modelKey, sharedModels{ms: rootModels, cols: p.activeCols})
+	} else {
+		p.activeCols = p.gatherCols(untested)
+		if err := rootModels.prefillBatch(p.activeCols); err != nil {
+			return configspace.Config{}, false, err
 		}
 	}
 
@@ -1385,11 +1305,6 @@ func (p *planner) nextConfig(ctx context.Context, h *optimizer.History, remainin
 		return configspace.Config{}, false, err
 	}
 	if len(eligible) == 0 {
-		if claim != nil {
-			// "No eligible candidate" is itself the decision: replicas of
-			// this campaign end the same way, so cache it.
-			claim.Publish(sharedDecision{})
-		}
 		return configspace.Config{}, false, nil
 	}
 	rootInc, err := p.incumbent(rootState, rootModels)
@@ -1430,17 +1345,11 @@ func (p *planner) nextConfig(ctx context.Context, h *optimizer.History, remainin
 
 	bestID, ok := selectBestRatio(scores)
 	if !ok {
-		if claim != nil {
-			claim.Publish(sharedDecision{})
-		}
 		return configspace.Config{}, false, nil
 	}
 	best, err := p.space.Config(bestID)
 	if err != nil {
 		return configspace.Config{}, false, err
-	}
-	if claim != nil {
-		claim.Publish(sharedDecision{id: bestID, ok: true})
 	}
 	return best, true, nil
 }

@@ -14,11 +14,13 @@ import (
 // multi-worker planning must never lose to serial planning beyond timing
 // noise — and on real multi-core hardware it must win.
 //
-// The test times the same fixed decision sequence (median of 3 repetitions,
-// fresh planner each, so both sides plan identical iterations) and allows a
-// 15% noise margin: wall-clock medians on shared CI hardware jitter by
-// several percent, while the barrier-era regression was well beyond the
-// margin. Skipped with -short; the per-worker benchmarks in
+// The test times the same fixed decision sequence (fresh planner each
+// repetition, so both sides plan identical iterations) in interleaved
+// workers=1 / workers=8 pairs, and compares the median of the per-pair
+// ratios against a 15% noise margin. Interleaving makes background load
+// (other test packages competing for the CPU) hit both sides of a pair
+// alike instead of skewing one whole side; the barrier-era regression was
+// well beyond the margin. Skipped with -short; the per-worker benchmarks in
 // planner_bench_test.go track the same numbers continuously via BENCH.json.
 func TestPlannerLA3WorkerScalingSanity(t *testing.T) {
 	if testing.Short() {
@@ -28,31 +30,32 @@ func TestPlannerLA3WorkerScalingSanity(t *testing.T) {
 		t.Skip("timing-sensitive scaling test skipped under the race detector")
 	}
 	const decisions = 4
-	const reps = 3
+	const pairs = 5
 	measure := func(workers int) float64 {
-		times := make([]float64, 0, reps)
-		for rep := 0; rep < reps; rep++ {
-			fixture := newPlannerBenchFixture(t, 3, SpecRefitAuto, workers)
-			// Warm-up decision (untimed): the first decision populates the
-			// per-worker arenas — clone slots, eligibility buffers — that
-			// persist across decisions in a real campaign.
+		fixture := newPlannerBenchFixture(t, 3, SpecRefitAuto, workers)
+		// Warm-up decision (untimed): the first decision populates the
+		// per-worker arenas — clone slots, eligibility buffers — that
+		// persist across decisions in a real campaign.
+		fixture.decide(t)
+		start := time.Now()
+		for d := 0; d < decisions; d++ {
 			fixture.decide(t)
-			start := time.Now()
-			for d := 0; d < decisions; d++ {
-				fixture.decide(t)
-			}
-			times = append(times, time.Since(start).Seconds())
 		}
-		sort.Float64s(times)
-		return times[len(times)/2]
+		return time.Since(start).Seconds()
 	}
-	serial := measure(1)
-	parallel := measure(8)
-	t.Logf("LA=3 median for %d decisions: workers=1 %.3fs, workers=8 %.3fs (ratio %.2f)",
-		decisions, serial, parallel, parallel/serial)
+	ratios := make([]float64, 0, pairs)
+	for i := 0; i < pairs; i++ {
+		serial := measure(1)
+		parallel := measure(8)
+		ratios = append(ratios, parallel/serial)
+		t.Logf("pair %d, LA=3 for %d decisions: workers=1 %.3fs, workers=8 %.3fs (ratio %.2f)",
+			i, decisions, serial, parallel, parallel/serial)
+	}
+	sort.Float64s(ratios)
+	ratio := ratios[len(ratios)/2]
 	const tolerance = 1.15
-	if parallel > serial*tolerance {
-		t.Errorf("LA=3 planning at 8 workers took %.3fs vs %.3fs at 1 worker (%.0f%% slower, tolerance %.0f%%): the speculation scheduler must not lose to serial planning",
-			parallel, serial, (parallel/serial-1)*100, (tolerance-1)*100)
+	if ratio > tolerance {
+		t.Errorf("LA=3 planning at 8 workers took a median %.2fx the time of 1 worker over %d interleaved pairs (tolerance %.2fx): the speculation scheduler must not lose to serial planning",
+			ratio, pairs, tolerance)
 	}
 }

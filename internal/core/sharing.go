@@ -1,103 +1,47 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
-	"math"
 	"runtime"
 
-	"repro/internal/numeric"
 	"repro/internal/optimizer"
 	"repro/internal/share"
 )
 
 // This file implements the cross-campaign sharing tier: campaigns created
 // into one ShareGroup resolve content-equal spaces to one interned artifact
-// (shared feature columns, shared unit-price cache), adopt each other's
-// fitted root model sets and planning decisions when their planning inputs
-// are identical, and draw path workspaces from a bounded shared arena pool
-// instead of holding private ones per campaign.
-//
-// Correctness rests on one rule: everything shared is either immutable after
-// publication or keyed by EVERY input that influences the shared value.
-//   - The model cache key captures (space digest, params digest, seed,
-//     iteration, constraint set, full trial history, quarantine set,
-//     candidate ID set) — everything a root fit + prefill reads.
-//   - The decision cache key additionally captures the remaining budget and
-//     every candidate's unit price — with the model key, everything
-//     nextConfig reads (the planner is a pure function of these; the
-//     worker-count independence and golden tests pin that scheduling never
-//     affects the outcome).
-// Equal keys therefore imply bitwise-equal outcomes, which is why adopting a
-// cached decision preserves the "identical to isolated run" contract.
-//
-// Sharing is disabled per planner whenever an input cannot be captured in
-// the key: a SetupCost function (process-local closure), a custom
-// ModelFactory, or a custom SearchStrategy (both identified only by name,
-// which two distinct implementations could share). Such campaigns still get
-// the interned space and shared prices — only model/decision adoption is off.
-
-// Sizing of the per-group caches and the arena pool.
-const (
-	// sharedModelCacheEntries bounds the fitted-model cache. One entry per
-	// (history prefix, candidate set) — a campaign publishes at most one per
-	// decision, and stale iterations age out oldest-first.
-	sharedModelCacheEntries = 64
-	// sharedDecisionCacheEntries bounds the decision cache. Decisions are
-	// two ints, so the bound exists to cap key retention, not value memory.
-	sharedDecisionCacheEntries = 512
-)
+// (shared feature columns, shared unit-price cache) and draw path workspaces
+// from a bounded shared arena pool instead of holding private ones per
+// campaign. Everything shared is either immutable after publication (the
+// canonical space) or internally synchronized (price caches, the arena
+// pool), and none of it is an input the planner's decisions could differ
+// on, so a campaign's trial sequence is the same inside or outside a group.
 
 // ShareGroup is the shared state of a set of campaigns: the space-artifact
-// registry, the model and decision caches, and the workspace arena pool.
-// Create one group per co-scheduled batch (MultiRunner does this) and pass
-// it to NewCampaignShared / ResumeCampaignShared. All methods and the
-// campaigns created into one group are safe for concurrent use; the group
-// holds no reference to any campaign, so abandoning a campaign leaks nothing
-// into the others.
+// registry and the workspace arena pool. Create one group per co-scheduled
+// batch (MultiRunner does this) and pass it to NewCampaignShared /
+// ResumeCampaignShared. All methods and the campaigns created into one group
+// are safe for concurrent use; the group holds no reference to any campaign,
+// so abandoning a campaign leaks nothing into the others.
 type ShareGroup struct {
-	registry  *share.Registry
-	models    *share.Cache[sharedModels]
-	decisions *share.Cache[sharedDecision]
-	arenas    *arenaPool
+	registry *share.Registry
+	arenas   *arenaPool
 }
 
 // NewShareGroup creates an empty share group.
 func NewShareGroup() *ShareGroup {
 	return &ShareGroup{
-		registry:  share.NewRegistry(),
-		models:    share.NewCache[sharedModels](sharedModelCacheEntries),
-		decisions: share.NewCache[sharedDecision](sharedDecisionCacheEntries),
-		arenas:    newArenaPool(2*runtime.GOMAXPROCS(0) + 2),
+		registry: share.NewRegistry(),
+		arenas:   newArenaPool(2*runtime.GOMAXPROCS(0) + 2),
 	}
 }
 
-// sharedModels is one published root model set: fitted, fully prefilled
-// (memo all-valid), immutable. cols is the slot-major feature matrix the set
-// was prefilled over — the adopter's activeCols — whose backing store was
-// freshly allocated by the publisher (never a reused planner buffer), so it
-// can never be overwritten under a reader.
-type sharedModels struct {
-	ms   *modelSet
-	cols [][]float64
-}
-
-// sharedDecision is one published planning decision: the selected
-// configuration ID, or ok=false when no eligible candidate fit the budget
-// (itself a cacheable outcome — every replica campaign ends the same way).
-type sharedDecision struct {
-	id int
-	ok bool
-}
-
-// sharedCtx is the planner-side handle of a share group binding: the group,
-// the interned artifact of the campaign's space, and the shared price cache
-// of the campaign's environment instance.
+// sharedCtx is the planner-side handle of a share group binding: the
+// group's arena pool and the shared price cache of the campaign's
+// environment instance.
 type sharedCtx struct {
-	group    *ShareGroup
-	artifact *share.Artifact
-	prices   *optimizer.PriceCache
+	arenas *arenaPool
+	prices *optimizer.PriceCache
 }
 
 // bind interns the environment's space and returns the shared context plus
@@ -109,15 +53,14 @@ func (g *ShareGroup) bind(env optimizer.Environment) (*sharedCtx, optimizer.Envi
 	}
 	artifact := g.registry.Intern(env.Space())
 	wrapped := share.WrapEnv(env, artifact.Space())
-	return &sharedCtx{group: g, artifact: artifact, prices: artifact.PriceCache(env)}, wrapped, nil
+	return &sharedCtx{arenas: g.arenas, prices: artifact.PriceCache(env)}, wrapped, nil
 }
 
 // NewCampaignShared is NewCampaign with cross-campaign sharing: the campaign
 // joins the group's space artifact (shared feature columns and unit prices)
-// and, when its configuration is fully key-capturable, adopts fitted models
-// and planning decisions published by identical campaigns in the group. The
-// trial sequence and recommendation are bitwise identical to the same
-// campaign run in isolation. A nil group degenerates to NewCampaign.
+// and, in incremental refit mode, draws its path workspaces from the group's
+// arena pool. The trial sequence and recommendation are bitwise identical to
+// the same campaign run in isolation. A nil group degenerates to NewCampaign.
 func (l *Lynceus) NewCampaignShared(env optimizer.Environment, opts optimizer.Options, g *ShareGroup) (*Campaign, error) {
 	if g == nil {
 		return l.NewCampaign(env, opts)
@@ -131,7 +74,7 @@ func (l *Lynceus) NewCampaignShared(env optimizer.Environment, opts optimizer.Op
 
 // ResumeCampaignShared is ResumeCampaignWith into a share group: the resumed
 // campaign continues its bitwise-identical trial sequence while sharing
-// space artifacts, models and decisions with the group. A nil group
+// space artifacts and workspace arenas with the group. A nil group
 // degenerates to ResumeCampaignWith.
 func (l *Lynceus) ResumeCampaignShared(env optimizer.Environment, data []byte, fns ResumeFuncs, g *ShareGroup) (*Campaign, error) {
 	if g == nil {
@@ -142,103 +85,4 @@ func (l *Lynceus) ResumeCampaignShared(env optimizer.Environment, data []byte, f
 		return nil, err
 	}
 	return l.resumeCampaign(wrapped, data, fns, sh)
-}
-
-// sharable reports whether this planner's decisions may be published to and
-// adopted from the group caches: every planning input must be capturable in
-// the cache key. Process-local functions (SetupCost), custom model
-// factories and custom search strategies are identified only by name, which
-// the key cannot trust, so they opt the planner out of model/decision
-// sharing (space and price sharing still apply).
-func (p *planner) sharable() bool {
-	if p.shared == nil || p.opts.SetupCost != nil || p.params.ModelFactory != nil {
-		return false
-	}
-	switch p.strategy.(type) {
-	case Exhaustive, Sampled:
-		return true
-	}
-	return false
-}
-
-// shareKeys computes the model and decision cache keys of the current
-// planning call. The model key covers everything the root fit + prefill
-// reads; the decision key additionally covers the remaining budget and the
-// candidates' unit prices (prices come from the environment, so two
-// campaigns on different environment instances share a decision only when
-// their prices agree bit for bit). Both are SHA-256 sums, returned as raw
-// 32-byte strings.
-func (p *planner) shareKeys(h *optimizer.History, remainingBudget float64, extraNames []string, untested []candidate) (modelKey, decisionKey string) {
-	buf := p.keyBuf[:0]
-	buf = appendKeyStr(buf, "lynceus/share/v1")
-	buf = appendKeyStr(buf, p.shared.artifact.Digest())
-	buf = appendKeyStr(buf, paramsDigest(p.params))
-	buf = appendKeyU64(buf, uint64(p.opts.Seed))
-	buf = appendKeyU64(buf, uint64(p.iteration))
-	buf = appendKeyF64(buf, p.opts.MaxRuntimeSeconds)
-	buf = appendKeyU64(buf, uint64(len(extraNames)))
-	for _, name := range extraNames {
-		buf = appendKeyStr(buf, name)
-		buf = appendKeyF64(buf, p.constraintMax(name))
-	}
-	trials := h.Trials()
-	buf = appendKeyU64(buf, uint64(len(trials)))
-	for i := range trials {
-		tr := &trials[i]
-		buf = appendKeyU64(buf, uint64(tr.Config.ID))
-		buf = appendKeyF64(buf, tr.Cost)
-		buf = appendKeyF64(buf, tr.RuntimeSeconds)
-		if tr.TimedOut {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		for _, name := range extraNames {
-			buf = appendKeyF64(buf, tr.Extra[name])
-		}
-	}
-	quarantined := h.QuarantinedIDs()
-	buf = appendKeyU64(buf, uint64(len(quarantined)))
-	for _, id := range quarantined {
-		buf = appendKeyU64(buf, uint64(id))
-	}
-	buf = appendKeyU64(buf, uint64(len(untested)))
-	for i := range untested {
-		buf = appendKeyU64(buf, uint64(untested[i].id))
-	}
-	modelSum := sha256.Sum256(buf)
-
-	buf = appendKeyStr(buf, "decision")
-	buf = appendKeyF64(buf, remainingBudget)
-	for i := range untested {
-		buf = appendKeyF64(buf, untested[i].unitPriceHour)
-	}
-	decisionSum := sha256.Sum256(buf)
-
-	p.keyBuf = buf[:0]
-	return string(modelSum[:]), string(decisionSum[:])
-}
-
-func appendKeyU64(buf []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, v)
-}
-
-func appendKeyF64(buf []byte, v float64) []byte {
-	return appendKeyU64(buf, math.Float64bits(v))
-}
-
-func appendKeyStr(buf []byte, s string) []byte {
-	buf = appendKeyU64(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// sameGaussians reports whether two Gaussian slices are the same array view
-// (identical backing and length) — the cheap identity check that lets
-// extraMemosOf skip rewriting its scratch when the memo arrays have not
-// moved, keeping concurrent sweeps of one published model set write-free.
-func sameGaussians(a, b []numeric.Gaussian) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || &a[0] == &b[0]
 }

@@ -432,6 +432,36 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// Request body limits. A create body is one campaign spec (well under a
+// kilobyte in practice) and a step body one small object; anything larger
+// is refused with 413 before a campaign is built or persisted.
+const (
+	maxCreateBodyBytes = 64 << 10
+	maxStepBodyBytes   = 1 << 10
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes into v. On
+// failure it answers the request itself — 413 for an over-limit body, 400
+// for a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body over %d bytes", limit)})
+	default:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding request: %v", err)})
+	}
+	return false
+}
+
 // createRequest is the body of POST /campaigns.
 type createRequest struct {
 	ID      string      `json:"id,omitempty"`
@@ -445,8 +475,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding request: %v", err)})
+	if !decodeBody(w, r, maxCreateBodyBytes, &req) {
 		return
 	}
 	id := req.ID
@@ -554,8 +583,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	steps := 1
 	if r.ContentLength != 0 {
 		var req stepRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding request: %v", err)})
+		if !decodeBody(w, r, maxStepBodyBytes, &req) {
 			return
 		}
 		if req.Steps > 0 {

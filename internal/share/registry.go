@@ -1,14 +1,12 @@
 // Package share implements the cross-campaign sharing layer: interned,
 // immutable per-space artifacts (canonical Space, shared unit-price caches)
-// and a bounded copy-on-write cache with single-flight claims that campaigns
-// use to adopt each other's fitted models and planning decisions.
+// and the environment wrapper that makes a campaign see the canonical space.
 //
 // Everything handed out by this package is either immutable after publication
-// (canonical spaces, published cache values) or internally synchronized
-// (price caches, the registry and cache maps themselves). Reads of published
-// state are lock-free: the registry and caches swap whole maps behind an
-// atomic pointer, so the steady-state lookup is one atomic load plus one map
-// read, with writers paying the copy.
+// (canonical spaces) or internally synchronized (price caches, the registry
+// map itself). Registry reads are lock-free: the registry swaps whole maps
+// behind an atomic pointer, so the steady-state lookup is one atomic load
+// plus one map read, with writers paying the copy.
 package share
 
 import (
@@ -50,7 +48,7 @@ func (r *Registry) Intern(space *configspace.Space) *Artifact {
 			return a
 		}
 	}
-	a := &Artifact{digest: d, space: space, prices: make(map[optimizer.Environment]*optimizer.PriceCache)}
+	a := &Artifact{space: space, prices: make(map[optimizer.Environment]*optimizer.PriceCache)}
 	next := make(map[string]*Artifact, 1)
 	if old != nil {
 		next = make(map[string]*Artifact, len(*old)+1)
@@ -75,8 +73,7 @@ func (r *Registry) Len() int {
 // instance (whose FeatureColumns matrix and decoded rows every campaign on
 // the space reads) and one shared unit-price cache per environment instance.
 type Artifact struct {
-	digest string
-	space  *configspace.Space
+	space *configspace.Space
 
 	// prices maps an environment instance to its shared price cache. Keyed
 	// by instance identity, not by space: two environments on the same space
@@ -86,9 +83,6 @@ type Artifact struct {
 	mu     sync.Mutex
 	prices map[optimizer.Environment]*optimizer.PriceCache
 }
-
-// Digest returns the content digest the artifact is keyed by.
-func (a *Artifact) Digest() string { return a.digest }
 
 // Space returns the canonical space instance. Read-only.
 func (a *Artifact) Space() *configspace.Space { return a.space }

@@ -6,24 +6,21 @@ import (
 	"repro/internal/core"
 )
 
-// Multi-campaign throughput tier: run N tuning campaigns concurrently over
-// shared, immutable space artifacts.
+// Multi-campaign tier: run N tuning campaigns concurrently over shared,
+// immutable space artifacts.
 //
 // Campaigns added to one MultiRunner intern their configuration spaces into
 // a shared registry (content-equal spaces — even distinct instances — share
 // one canonical Space and its feature storage), deduplicate unit-price
-// fetches per environment instance, draw planner scratch from a bounded
-// shared arena pool, and — when two campaigns' planning inputs are identical
-// (same space, tuner parameters, seed, observed history and budget) — adopt
-// each other's fitted models and planning decisions outright. Every
-// campaign's trial sequence and recommendation remain bitwise identical to
-// the same campaign run in isolation; sharing changes throughput, never
-// results.
+// fetches per environment instance, and draw planner scratch from a bounded
+// shared arena pool. Every campaign plans on its own: its trial sequence and
+// recommendation remain bitwise identical to the same campaign run in
+// isolation.
 
 type (
 	// ShareGroup is the shared state of a batch of campaigns: the space
-	// artifact registry, the cross-campaign model and decision caches, and
-	// the workspace arena pool. One group per co-scheduled batch.
+	// artifact registry and the workspace arena pool. One group per
+	// co-scheduled batch.
 	ShareGroup = core.ShareGroup
 	// MultiResult is the outcome of one campaign of a batch.
 	MultiResult = core.MultiResult
@@ -47,26 +44,18 @@ type MultiRunnerConfig struct {
 	// GOMAXPROCS. Each campaign still plans with its own TunerConfig.Workers
 	// inside its step.
 	Concurrency int
-	// DisableSharing runs the batch share-nothing: same fair scheduler, but
-	// every campaign keeps private artifacts (the baseline the throughput
-	// benchmark compares against; results are identical either way).
-	DisableSharing bool
 }
 
 // MultiRunner drives N campaigns concurrently over one ShareGroup with fair
-// round-robin scheduling: every campaign advances one trial per turn, so
-// identical campaigns stay in lockstep and share almost all planning work.
+// round-robin scheduling: every campaign advances one trial per turn, so no
+// campaign starves behind a long one.
 type MultiRunner struct {
-	inner          *core.MultiRunner
-	disableSharing bool
+	inner *core.MultiRunner
 }
 
 // NewMultiRunner creates a runner with a fresh share group.
 func NewMultiRunner(cfg MultiRunnerConfig) *MultiRunner {
-	return &MultiRunner{
-		inner:          core.NewMultiRunner(cfg.Concurrency, nil),
-		disableSharing: cfg.DisableSharing,
-	}
+	return &MultiRunner{inner: core.NewMultiRunner(cfg.Concurrency, nil)}
 }
 
 // Group returns the runner's share group.
@@ -80,14 +69,6 @@ func (r *MultiRunner) Add(name string, cfg TunerConfig, env Environment, opts Op
 	if err != nil {
 		return err
 	}
-	if r.disableSharing {
-		c, err := l.NewCampaign(env, opts)
-		if err != nil {
-			return err
-		}
-		r.inner.Attach(name, c)
-		return nil
-	}
 	return r.inner.Add(name, l, env, opts)
 }
 
@@ -99,11 +80,7 @@ func (r *MultiRunner) AddResumed(name string, cfg TunerConfig, env Environment, 
 	if err != nil {
 		return err
 	}
-	g := r.inner.Group()
-	if r.disableSharing {
-		g = nil
-	}
-	c, err := l.ResumeCampaignShared(env, snapshot, fns, g)
+	c, err := l.ResumeCampaignShared(env, snapshot, fns, r.inner.Group())
 	if err != nil {
 		return err
 	}

@@ -153,36 +153,3 @@ func TestMultiRunnerResumedCampaign(t *testing.T) {
 	}
 	assertSameRun(t, "resumed", summary.Results[0].Result, want)
 }
-
-// TestMultiRunnerDisableSharing pins that the share-nothing mode produces
-// the same results (it is the benchmark baseline, not a different planner).
-func TestMultiRunnerDisableSharing(t *testing.T) {
-	cfg := multiTestConfig()
-	env, opts := multiTestOptions(t, 7)
-	tuner, err := StartTuner(cfg, env, opts)
-	if err != nil {
-		t.Fatalf("StartTuner: %v", err)
-	}
-	want, err := tuner.Run()
-	if err != nil {
-		t.Fatalf("isolated run: %v", err)
-	}
-
-	runner := NewMultiRunner(MultiRunnerConfig{DisableSharing: true})
-	for _, name := range []string{"a", "b"} {
-		env, opts := multiTestOptions(t, 7)
-		if err := runner.Add(name, cfg, env, opts); err != nil {
-			t.Fatalf("Add(%s): %v", name, err)
-		}
-	}
-	summary, err := runner.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for _, r := range summary.Results {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Name, r.Err)
-		}
-		assertSameRun(t, r.Name, r.Result, want)
-	}
-}

@@ -31,8 +31,8 @@
 # serving-cluster campaign (LA=2 incremental on the simulated LLM inference
 # cluster), the checkpointing path (snapshot serialization and
 # campaign restore, which fault-tolerant campaigns pay every trial), and the
-# multi-campaign batch (8 concurrent Tensorflow campaigns through the shared
-# artifact group vs share-nothing, gated on ns/campaign). Every benchmark
+# multi-campaign batch (8 concurrent distinct-seed Tensorflow campaigns
+# through one MultiRunner, gated on ns/campaign). Every benchmark
 # runs BENCH_COUNT times (default 3) and benchjson records the per-metric
 # MEDIAN — a single planner iteration is too noisy to detect real
 # regressions, and the medians (together with allocs/op on the planner
